@@ -1,7 +1,7 @@
 # Convenience targets; see README.md for the full story.
 
 PYTHON ?= python
-# Extra flags for bench-sharded, e.g. "--force-pool --gate-exchange 0.10"
+# Extra flags for bench-sharded, e.g. "--gate-exchange 0.10"
 BENCH_SHARDED_FLAGS ?=
 # Extra flags for bench-serve, e.g. "--gate-speedup 3.0 --gate-p99 0.5"
 BENCH_SERVE_FLAGS ?=

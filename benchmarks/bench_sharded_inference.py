@@ -1,8 +1,7 @@
 """Sharded-inference benchmark: single-process vs boundary-exchange shards.
 
 Scores a ladder of synthetic designs through the plain ``FastInference``
-chain and through ``ShardedInference`` (in-process shard loop and, on
-multi-core hosts or under ``--force-pool``, the fork-pool path) and
+chain and through ``ShardedInference``'s in-process shard loop and
 writes ``results/BENCH_sharded_inference.json`` with nodes/sec,
 wall-clock, speedups over the single-process baseline, partition quality
 (edge cut, imbalance) and the boundary-exchange volume per tier.  Every
@@ -23,9 +22,7 @@ Run directly (``make bench-sharded``); it is not a pytest-benchmark
 module — the acceptance numbers come from wall-clock over a fixed
 workload, not statistical micro-timing.
 
-Flags: ``--force-pool`` measures the fork-pool tier even on single-core
-hosts (with two timesharing workers — honest, if unflattering, numbers);
-``--gate-exchange X`` exits non-zero when the sweep tier's exchange
+Flags: ``--gate-exchange X`` exits non-zero when the sweep tier's exchange
 fraction reaches ``X`` (CI passes 0.10; the small relative tiers are
 reported but not gated — a few-hundred-gate design cannot have a thin
 boundary, and the locality claim is about scale).
@@ -73,7 +70,7 @@ def _best_of(fn, repeats: int):
     return min(elapsed), result
 
 
-def _score_tier(n_gates: int, repeats: int, weights, force_pool: bool) -> dict:
+def _score_tier(n_gates: int, repeats: int, weights) -> dict:
     netlist = generate_design(n_gates, seed=_SEED)
     graph = GraphData.from_netlist(netlist)
     single = FastInference(weights)
@@ -89,33 +86,17 @@ def _score_tier(n_gates: int, repeats: int, weights, force_pool: bool) -> dict:
         "shards": _N_SHARDS,
         "single_seconds": t_single,
         "single_nodes_per_second": graph.num_nodes / t_single,
-        "bit_identical": True,
     }
 
-    modes = [("sharded_inprocess", ExecutionConfig(shards=_N_SHARDS, workers=1))]
-    if (os.cpu_count() or 1) > 1:
-        modes.append(
-            ("sharded_pool", ExecutionConfig(shards=_N_SHARDS, workers=None))
-        )
-    elif force_pool:
-        modes.append(
-            ("sharded_pool", ExecutionConfig(shards=_N_SHARDS, workers=2))
-        )
-    else:
-        row["sharded_pool_seconds"] = None
-        row["sharded_pool_speedup"] = None
-        row["sharded_pool_skipped"] = "single-core host (use --force-pool)"
-    partition = exchange = None
-    for label, execution in modes:
-        with ShardedInference(weights, execution) as engine:
-            engine.logits(graph)  # warm the partition plan before timing
-            t, logits = _best_of(lambda: engine.logits(graph), repeats)
-            plan = engine.plan_for(graph)
-            partition, exchange = plan.partition, plan.exchange
-        row[f"{label}_seconds"] = t
-        row[f"{label}_nodes_per_second"] = graph.num_nodes / t
-        row[f"{label}_speedup"] = t_single / t
-        row["bit_identical"] &= bool(np.array_equal(reference, logits))
+    engine = ShardedInference(weights, ExecutionConfig(shards=_N_SHARDS))
+    engine.logits(graph)  # warm the partition plan before timing
+    t, logits = _best_of(lambda: engine.logits(graph), repeats)
+    plan = engine.plan_for(graph)
+    partition, exchange = plan.partition, plan.exchange
+    row["sharded_inprocess_seconds"] = t
+    row["sharded_inprocess_nodes_per_second"] = graph.num_nodes / t
+    row["sharded_inprocess_speedup"] = t_single / t
+    row["bit_identical"] = bool(np.array_equal(reference, logits))
     row["edge_cut"] = partition.edge_cut
     row["imbalance"] = partition.imbalance
     row["cut_edges"] = exchange.cut_edges
@@ -129,11 +110,6 @@ def _score_tier(n_gates: int, repeats: int, weights, force_pool: bool) -> dict:
 
 def main(argv: list[str] | None = None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--force-pool",
-        action="store_true",
-        help="measure the fork-pool tier even on a single-core host",
-    )
     parser.add_argument(
         "--gate-exchange",
         type=float,
@@ -155,17 +131,13 @@ def main(argv: list[str] | None = None) -> dict:
     ladder = [(f, max(200, int(_BASE_GATES * f * scale))) for f in _TIERS]
     ladder.append(("sweep_1e6", max(200, int(_SWEEP_GATES * scale))))
     for tier, n_gates in ladder:
-        row = _score_tier(n_gates, repeats, weights, args.force_pool)
+        row = _score_tier(n_gates, repeats, weights)
         row["tier"] = tier
         tiers.append(row)
-        speedups = ", ".join(
-            f"{mode}={row[f'{mode}_speedup']:.2f}x"
-            for mode in ("sharded_inprocess", "sharded_pool")
-            if row.get(f"{mode}_speedup")
-        )
         print(
             f"tier={tier} gates={row['gates']} shards={row['shards']} "
-            f"single={row['single_seconds']:.3f}s {speedups} "
+            f"single={row['single_seconds']:.3f}s "
+            f"sharded_inprocess={row['sharded_inprocess_speedup']:.2f}x "
             f"exchange={row['exchange_fraction']:.4f} "
             f"identical={row['bit_identical']}"
         )
@@ -181,7 +153,6 @@ def main(argv: list[str] | None = None) -> dict:
         "default_scale_inprocess_speedup": default_tier[
             "sharded_inprocess_speedup"
         ],
-        "default_scale_pool_speedup": default_tier.get("sharded_pool_speedup"),
         "sweep_gates": sweep_tier["gates"],
         "sweep_inprocess_speedup": sweep_tier["sharded_inprocess_speedup"],
         "sweep_exchange_fraction": gate_exchange,
@@ -195,9 +166,6 @@ def main(argv: list[str] | None = None) -> dict:
             "halo_fraction": gate_exchange,
             "inprocess_speedups": {
                 str(t["tier"]): t["sharded_inprocess_speedup"] for t in tiers
-            },
-            "pool_speedups": {
-                str(t["tier"]): t.get("sharded_pool_speedup") for t in tiers
             },
         },
     )

@@ -66,10 +66,10 @@ def main() -> None:
     netlist = generate_design(20_000, seed=3)
     graph = build_graph(netlist)
     single = FastInference(weights).logits(graph)
-    with ShardedInference(
+    sharded = ShardedInference(
         weights, ExecutionConfig(backend="sharded", shards=4, workers=1)
-    ) as sharded:
-        shard_logits = sharded.logits(graph)
+    )
+    shard_logits = sharded.logits(graph)
     identical = np.array_equal(single, shard_logits)
     print(
         f"  4 shards over {graph.num_nodes} nodes: bit-identical to the "

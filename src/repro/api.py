@@ -360,9 +360,12 @@ def score(
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     proba = exp[:, 1] / exp.sum(axis=1)
-    backend = execution.resolve_inference_backend(graph.num_nodes)
-    if isinstance(predictor, ShardedInference):
-        backend = "sharded"
+    # The engine's own route: a prebuilt engine keeps its configuration.
+    backend = (
+        "sharded"
+        if isinstance(engine, ShardedInference)
+        else engine.execution.resolve_inference_backend(graph.num_nodes)
+    )
     return ScoreResult(
         labels=np.argmax(logits, axis=1).astype(np.int64),
         proba=proba,

@@ -25,8 +25,8 @@ choice is never overridden by the environment.  Environment variables
 * ``REPRO_FAULT_SIM_BACKEND`` — fault-simulation backend (pre-existing);
 * ``REPRO_EXEC_BACKEND`` — execution-fabric backend (``inprocess`` |
   ``forkpool`` | ``socket``); ``inprocess`` is the process-wide
-  kill-switch for fork pools, ``socket`` routes every engine through the
-  multi-host coordinator (see :mod:`repro.exec.coordinator`);
+  kill-switch for fork pools, ``socket`` routes every fork-pool engine
+  through the multi-host coordinator (see :mod:`repro.exec.coordinator`);
 * ``REPRO_WORKERS`` — worker-process count;
 * ``REPRO_SHARDS`` — inference shard count;
 * ``REPRO_DTYPE`` — inference dtype (``float32`` / ``float64``);
@@ -115,10 +115,8 @@ class ExecutionConfig:
     #: execution-fabric backend request (``auto`` | ``inprocess`` |
     #: ``forkpool`` | ``socket``); ``auto`` honours
     #: ``REPRO_EXEC_BACKEND`` then the engine's own workload heuristic.
-    #: Under ``socket``, sharded inference ships per-layer activation
-    #: frames by value (no ``/dev/shm`` references), so shard rounds are
-    #: runnable on any fleet host; with no reachable remote workers it
-    #: degrades to the forkpool path unchanged.
+    #: Read by the fork-pool engines (training, fault simulation);
+    #: sharded inference always runs its shards in process.
     exec_backend: str = "auto"
     #: sampling-profiler mode around executor submits (``auto`` | ``off``
     #: | ``light`` | ``full``); ``auto`` honours ``REPRO_PROFILE`` then

@@ -7,7 +7,10 @@ the entire network becomes a short chain of matmuls — three orders of
 magnitude faster at a million nodes.
 
 This module is the pure-numpy/scipy hot path: no autograd tape, CSR-cached
-adjacency, in-place ReLU.
+adjacency, in-place ReLU.  The layer math is written once, in
+:func:`gcn_layer` and :func:`gcn_head`; the whole-graph engine here and
+the sharded engine (:mod:`repro.graph.sharded`) both run it, which is
+what keeps their float64 logits bit-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.resilience.errors import NumericalError
 
-__all__ = ["FastInference", "row_stable_matmul"]
+__all__ = ["FastInference", "gcn_head", "gcn_layer", "row_stable_matmul"]
 
 
 def row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -61,6 +64,52 @@ def row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+def gcn_layer(
+    weights: GCNWeights,
+    layer: int,
+    prev: np.ndarray,
+    pred,
+    succ,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """Encoder layer ``layer`` over a row selection: aggregate → encode →
+    bias/ReLU.
+
+    ``prev`` holds the layer's input embeddings; ``pred``/``succ`` are the
+    adjacency rows of the nodes being computed, with columns indexing
+    ``prev``, and ``rows`` picks those nodes' own rows out of ``prev``
+    (``None``: every row, the whole graph).  The aggregate is
+    ``E + w_pr·(P @ E) + w_su·(S @ E)`` summed in that order, and every
+    dense step is row-independent, so a node's output does not depend on
+    which other rows the selection holds.
+    """
+    own = prev if rows is None else prev[rows]
+    aggregated = (
+        own + weights.w_pr * (pred @ prev) + weights.w_su * (succ @ prev)
+    )
+    out = row_stable_matmul(aggregated, weights.encoder_weights[layer])
+    bias = weights.encoder_biases[layer]
+    if bias is not None:
+        out += bias
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+def gcn_head(weights: GCNWeights, h: np.ndarray) -> np.ndarray:
+    """The fully-connected head: final embeddings → class logits, ReLU
+    between layers (row-local, so it runs on any row selection)."""
+    last = len(weights.fc_weights) - 1
+    for i, (weight, bias) in enumerate(
+        zip(weights.fc_weights, weights.fc_biases)
+    ):
+        h = row_stable_matmul(h, weight)
+        if bias is not None:
+            h += bias
+        if i < last:
+            np.maximum(h, 0.0, out=h)
+    return h
+
+
 def _obs():
     """Inference metrics in the process-default registry (lazy lookup so
     a registry swapped in by tests is honoured)."""
@@ -84,7 +133,7 @@ class FastInference:
     ``execution`` selects numerics and backend: ``dtype`` defaults to
     float64 (matching the training tape) — ``float32`` gives
     deployment-style inference, as in the paper's fp32 GPU path — and
-    ``backend`` routes large graphs to the partitioned multi-core engine
+    ``backend`` routes large graphs to the partitioned engine
     (:class:`repro.graph.sharded.ShardedInference`) when it resolves to
     ``sharded``.  The legacy ``dtype=`` argument keeps working and takes
     precedence over ``execution.dtype``.
@@ -160,16 +209,7 @@ class FastInference:
             embeddings = embeddings.astype(self.dtype)
         for d in range(w.depth):
             with span("inference.sparse_matmul", layer=d):
-                aggregated = (
-                    embeddings
-                    + w.w_pr * (pred @ embeddings)
-                    + w.w_su * (succ @ embeddings)
-                )
-                embeddings = row_stable_matmul(aggregated, w.encoder_weights[d])
-            bias = w.encoder_biases[d]
-            if bias is not None:
-                embeddings += bias
-            np.maximum(embeddings, 0.0, out=embeddings)
+                embeddings = gcn_layer(w, d, embeddings, pred, succ)
         return embeddings
 
     def logits(self, graph: GraphData) -> np.ndarray:
@@ -179,22 +219,16 @@ class FastInference:
         logit is NaN/inf — corrupt weights or overflowing attributes must
         surface as a typed failure, not propagate garbage scores.
         """
+        start = time.perf_counter()
         engine = self._route(graph)
         if engine is not self:
-            return engine.logits(graph)
-        start = time.perf_counter()
-        with span("inference.logits", graph=graph.name, nodes=graph.num_nodes):
-            h = self.embed(graph)
-            last = len(self.weights.fc_weights) - 1
-            for i, (weight, bias) in enumerate(
-                zip(self.weights.fc_weights, self.weights.fc_biases)
+            h = engine.logits(graph)
+        else:
+            with span(
+                "inference.logits", graph=graph.name, nodes=graph.num_nodes
             ):
-                h = row_stable_matmul(h, weight)
-                if bias is not None:
-                    h += bias
-                if i < last:
-                    np.maximum(h, 0.0, out=h)
-            self._check_finite(h, graph, "logits")
+                h = gcn_head(self.weights, self.embed(graph))
+                self._check_finite(h, graph, "logits")
         calls, nodes, seconds = _obs()
         calls.inc()
         nodes.inc(graph.num_nodes)

@@ -1,9 +1,8 @@
 """``repro.exec`` — the fault-tolerant execution fabric.
 
 One executor abstraction under every fork-pool engine in the library:
-:class:`~repro.core.trainer.ParallelTrainer`,
-:class:`~repro.atpg.ppsfp.PpsfpEngine`, and
-:class:`~repro.graph.sharded.ShardedInference` all express their parallel
+:class:`~repro.core.trainer.ParallelTrainer` and
+:class:`~repro.atpg.ppsfp.PpsfpEngine` both express their parallel
 work as :class:`ShardTask` lists and let one supervised executor run
 them — the serial :class:`InProcessExecutor` oracle, the supervised
 :class:`ForkPoolExecutor`, or the multi-host :class:`DistributedExecutor`

@@ -1,8 +1,7 @@
 """The executor abstraction: submit shard tasks, get a deterministic reduction.
 
 One fabric under every fork-pool engine (:class:`~repro.core.trainer.
-ParallelTrainer`, :class:`~repro.atpg.ppsfp.PpsfpEngine`,
-:class:`~repro.graph.sharded.ShardedInference`).  The contract:
+ParallelTrainer`, :class:`~repro.atpg.ppsfp.PpsfpEngine`).  The contract:
 
 * ``Executor.submit(tasks, policy) -> list`` returns results **in task
   order** regardless of completion order — the reduction is deterministic
@@ -213,29 +212,6 @@ class Executor:
         sleep=None,
     ) -> list:
         raise NotImplementedError
-
-    def submit_rounds(
-        self,
-        rounds: Sequence[Sequence[ShardTask]],
-        policy: ExecPolicy | None = None,
-        sleep=None,
-    ) -> list[list]:
-        """Run dependent task rounds in order, a barrier between rounds.
-
-        Round ``r + 1`` starts only after every task of round ``r``
-        completed (through the full supervision ladder — retries, pool
-        rebuilds, in-process rescue), which is what lets multi-round
-        protocols like per-layer boundary exchange assume their inputs
-        are fully materialised.  Returns the per-round result lists;
-        ``last_submit_failures`` accumulates across the rounds.
-        """
-        results: list[list] = []
-        failures = 0
-        for tasks in rounds:
-            results.append(self.submit(tasks, policy=policy, sleep=sleep))
-            failures += getattr(self, "last_submit_failures", 0)
-        self.last_submit_failures = failures
-        return results
 
     def close(self) -> None:
         """Release pools/segments (idempotent; submit may be called again)."""

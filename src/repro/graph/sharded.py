@@ -10,50 +10,34 @@ partition into a :class:`~repro.graph.exchange.BoundaryPlan`; with a
 thin cut, per-shard work is ``owned + frontier`` rows instead of the
 near-whole-graph halo the precomputed-halo model re-ran per shard.
 
-Every path is bit-identical at float64 to the single-shard engine: the
-local adjacency rows are the global CSR rows (duplicate summation done
-once, globally; per-row column order preserved by the sorted local
-universe), dense steps are row-independent, and exchanged rows are exact
-copies of the owner's computed rows.
+Shards run in process, one layer round at a time: each shard computes
+its owned rows with the shared layer kernel
+(:func:`~repro.graph.exchange.run_shard_round` over
+:func:`~repro.core.inference.gcn_layer`), then every shard lands its
+peers' shipped frontier rows through the compiled ``send``/``recv``
+index lists.  The result is bit-identical at float64 to the
+single-shard engine: the local adjacency rows are the global CSR rows
+(duplicate summation done once, globally; per-row column order preserved
+by the sorted local universe), dense steps are row-independent, and
+exchanged rows are exact copies of the owner's computed rows.
 
-Three transports, one kernel (:func:`~repro.graph.exchange.
-run_shard_round`):
-
-* **inprocess** — per-shard local buffers, frontier rows landed by
-  direct ``send``/``recv`` index copies;
-* **forkpool** — two parent-owned shared-memory activation slabs
-  ping-ponged between layers; each round's tasks read the previous
-  layer's slab and write disjoint owned rows into the next, so retries
-  are idempotent and the slab swap is the exchange;
-* **socket** — activation frames shipped *by value* over the
-  coordinator's CRC framing: each task carries the shard's local input
-  rows and returns its owned output rows, so remote workers never need
-  the submitting host's ``/dev/shm`` and requeued/stale-generation tasks
-  are safe to re-run.
-
-Failed rounds follow the fabric's supervision ladder — retry with pool
-rebuild, then per-task in-process rescue (bit-identical, same kernel).
+Fork-pool and socket transports for these rounds were measured and
+retired: on the ~215k-node benchmark design on a 2-core host, a
+fresh-engine ``api.score`` call took a median 4.1 s through the fork
+pool against 3.5 s in process and 2.7 s single-process, with identical
+logits on every route.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 
 import numpy as np
 
 from repro.config import ExecutionConfig
 from repro.core.graphdata import GraphData
-from repro.core.inference import row_stable_matmul
+from repro.core.inference import FastInference, gcn_head
 from repro.core.model import GCNWeights
-from repro.exec import (
-    ExecPolicy,
-    Executor,
-    ShardTask,
-    SharedSegment,
-    attached_ndarray,
-    make_executor,
-)
 from repro.graph.exchange import (
     BoundaryPlan,
     compile_boundary_plan,
@@ -67,7 +51,6 @@ from repro.graph.partition import (
 )
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
-from repro.resilience.retry import RetryPolicy
 
 __all__ = ["ShardedInference"]
 
@@ -91,72 +74,6 @@ def _obs():
             "repro_sharded_inference_seconds",
             "wall time of one sharded logits pass",
         ),
-        reg.counter(
-            "repro_sharded_worker_failures_total",
-            "sharded-inference worker failures (retried or rescued)",
-        ),
-    )
-
-
-# --------------------------------------------------------------------- #
-# Worker-process side
-# --------------------------------------------------------------------- #
-_WORKER_STATE: tuple | None = None
-
-
-def _exchange_worker_init(payload: bytes) -> None:
-    """Build per-process state once (fork/socket initializer): the
-    dtype-cast weights and every shard's compiled exchange structures, so
-    any worker can run any shard's round (retries may land anywhere)."""
-    global _WORKER_STATE
-    weights, dtype_name, shards = pickle.loads(payload)
-    _WORKER_STATE = (weights, np.dtype(dtype_name), shards)
-
-
-def _worker_state() -> tuple:
-    if _WORKER_STATE is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("sharded-inference worker used before init")
-    return _WORKER_STATE
-
-
-def _exchange_worker_round(
-    shard_index: int,
-    layer: int,
-    with_head: bool,
-    in_name: str,
-    out_name: str,
-    slab_shape: tuple[int, int],
-    dtype_name: str,
-    w_in: int,
-    w_out: int,
-) -> tuple[int, int]:
-    """One forkpool exchange round: read the shard's universe rows from
-    the input slab, compute the layer, write owned rows to the output
-    slab.  Owned sets are disjoint, so concurrent (and retried) writes
-    never conflict; the returned shape is a CRC-verified completion
-    marker."""
-    weights, _, shards = _worker_state()
-    sh = shards[shard_index]
-    with attached_ndarray(in_name, slab_shape, dtype_name) as prev, \
-            attached_ndarray(out_name, slab_shape, dtype_name) as nxt:
-        local_prev = np.ascontiguousarray(prev[sh.universe, :w_in])
-        result = run_shard_round(weights, sh, local_prev, layer, with_head)
-        nxt[sh.owned, :w_out] = result
-    return result.shape
-
-
-def _exchange_round_by_value(
-    shard_index: int,
-    layer: int,
-    with_head: bool,
-    local_prev: np.ndarray,
-) -> np.ndarray:
-    """One socket exchange round: the activation frame travels in the
-    task args, the owned rows travel back in the result — stateless per
-    round, so network requeues and duplicate deliveries are harmless."""
-    weights, _, shards = _worker_state()
-    return run_shard_round(
-        weights, shards[shard_index], local_prev, layer, with_head
     )
 
 
@@ -183,53 +100,26 @@ class _Plan:
 
 
 class ShardedInference:
-    """Partitioned multi-core inference engine for a trained GCN.
+    """Partitioned inference engine for a trained GCN.
 
     Drop-in for :class:`~repro.core.inference.FastInference` (same
     ``logits`` / ``predict`` / ``predict_proba`` / ``embed`` surface),
-    parameterised by an :class:`~repro.config.ExecutionConfig` for dtype,
-    worker and shard counts.  The partition and exchange plan are cached
-    per graph, so repeated scoring of one design (the serve path) pays
-    the partitioning cost once.
-
-    The exchange depth is always the model's layer count — one round per
-    aggregation layer, derived from ``weights.depth`` rather than any
-    partitioner default.  ``halo_hops`` is kept as an explicit override
-    knob for API compatibility and validated against the depth (a halo
-    shallower than the model is inexact in any execution model).
+    parameterised by an :class:`~repro.config.ExecutionConfig` for dtype
+    and shard count (which defaults to the worker count).  The partition
+    and exchange plan are cached per graph, so repeated scoring of one
+    design (the serve path) pays the partitioning cost once.  One
+    exchange round runs per aggregation layer (``weights.depth``).
     """
 
     def __init__(
         self,
         weights: GCNWeights,
         execution: ExecutionConfig | None = None,
-        *,
-        halo_hops: int | None = None,
     ) -> None:
         self.execution = execution or ExecutionConfig()
         self.dtype = self.execution.numpy_dtype()
         self.weights = weights.astype(self.dtype)
-        #: exchange depth; must cover every aggregation layer for exactness
-        self.halo_hops = weights.depth if halo_hops is None else halo_hops
-        if self.halo_hops < weights.depth:
-            raise ValueError(
-                f"halo_hops={self.halo_hops} is shallower than the model "
-                f"depth ({weights.depth}); owned-node aggregation would be "
-                f"inexact"
-            )
-        self.retry: RetryPolicy = RetryPolicy(max_attempts=3, base_delay=0.05)
-        #: per-shard result timeout in seconds (None = wait forever)
-        self.worker_timeout: float | None = 120.0
-        #: grade failed shards in-process (bit-identical) after retries
-        self.serial_fallback: bool = True
-        #: injectable for fault-injection tests (must stay picklable)
-        self.worker_fn = _exchange_worker_round
-        #: socket-transport counterpart (activation frames by value)
-        self.socket_worker_fn = _exchange_round_by_value
         self._plan: _Plan | None = None
-        self._executor: Executor | None = None
-        self._pool_plan: _Plan | None = None
-        self._sleep = time.sleep
 
     @classmethod
     def from_file(
@@ -238,26 +128,6 @@ class ShardedInference:
         from repro.core.serialize import load_gcn
 
         return cls(load_gcn(path).layer_weights(), execution=execution)
-
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-            self._pool_plan = None
-
-    def __enter__(self) -> "ShardedInference":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------ #
     def plan_for(self, graph: GraphData) -> _Plan:
@@ -286,10 +156,8 @@ class ShardedInference:
         """
         start = time.perf_counter()
         out = self._run(graph, with_head=True)
-        from repro.core.inference import FastInference
-
         FastInference._check_finite(out, graph, "logits")
-        calls, shards_g, imbalance_g, seconds, _ = _obs()
+        calls, shards_g, imbalance_g, seconds = _obs()
         calls.inc()
         if self._plan is not None:
             shards_g.set(self._plan.partition.n_shards)
@@ -307,8 +175,6 @@ class ShardedInference:
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
         proba = exp / exp.sum(axis=1, keepdims=True)
-        from repro.core.inference import FastInference
-
         FastInference._check_finite(proba, graph, "predict_proba")
         return proba
 
@@ -336,11 +202,8 @@ class ShardedInference:
         fraction_g.set(plan.exchange.exchange_fraction)
 
     def _run(self, graph: GraphData, with_head: bool) -> np.ndarray:
-        n_cols = (
-            self.weights.fc_weights[-1].shape[1]
-            if with_head
-            else self.weights.encoder_weights[-1].shape[1]
-        )
+        widths = self._layer_widths(graph)
+        n_cols = self.weights.fc_weights[-1].shape[1] if with_head else widths[-1]
         if graph.num_nodes == 0:
             return np.zeros((0, n_cols), dtype=self.dtype)
         plan = self.plan_for(graph)
@@ -351,49 +214,21 @@ class ShardedInference:
             nodes=graph.num_nodes,
             shards=plan.partition.n_shards,
         ):
-            resolved = self.execution.resolve_exec_backend(default="forkpool")
-            use_pool = (
-                plan.partition.n_shards > 1
-                and self.weights.depth > 0
-                and self.execution.resolved_workers() > 1
-                and resolved != "inprocess"
-            )
-            if use_pool and resolved == "socket":
-                self._socket_run(graph, plan, with_head, out)
-            elif use_pool:
-                self._shm_run(graph, plan, with_head, out)
+            attrs = self._cast_attributes(graph)
+            if self.weights.depth == 0:
+                # Degenerate model: the row-local head alone, unsharded.
+                out[:] = gcn_head(self.weights, attrs) if with_head else attrs
             else:
-                self._inprocess_run(graph, plan, with_head, out)
-            self._record_exchange(plan, self._layer_widths(graph))
+                self._exchange_rounds(plan, attrs, with_head, out)
+            self._record_exchange(plan, widths)
         return out
 
-    # ------------------------------------------------------------------ #
-    # In-process transport: per-shard buffers + direct send/recv copies
-    # ------------------------------------------------------------------ #
-    def _head_only(self, attrs: np.ndarray, with_head: bool) -> np.ndarray:
-        """Depth-0 degenerate model: the (row-local) head, unsharded."""
-        h = attrs
-        if not with_head:
-            return h
-        last = len(self.weights.fc_weights) - 1
-        for i, (weight, bias) in enumerate(
-            zip(self.weights.fc_weights, self.weights.fc_biases)
-        ):
-            h = row_stable_matmul(h, weight)
-            if bias is not None:
-                h += bias
-            if i < last:
-                np.maximum(h, 0.0, out=h)
-        return h
-
-    def _inprocess_run(
-        self, graph: GraphData, plan: _Plan, with_head: bool, out: np.ndarray
+    def _exchange_rounds(
+        self, plan: _Plan, attrs: np.ndarray, with_head: bool, out: np.ndarray
     ) -> None:
-        attrs = self._cast_attributes(graph)
+        """Per-shard local buffers, frontier rows landed by direct
+        ``send``/``recv`` index copies between rounds."""
         depth = self.weights.depth
-        if depth == 0:
-            out[:] = self._head_only(attrs, with_head)
-            return
         shards = plan.exchange.shards
         current = [np.ascontiguousarray(attrs[sh.universe]) for sh in shards]
         results: list[np.ndarray] = []
@@ -422,167 +257,3 @@ class ShardedInference:
                     current[i][positions] = results[src][shards[src].send[i]]
         for i, sh in enumerate(shards):
             out[sh.owned] = results[i]
-
-    # ------------------------------------------------------------------ #
-    # Pool transports
-    # ------------------------------------------------------------------ #
-    def _make_executor(self, plan: _Plan, backend: str) -> Executor:
-        payload = pickle.dumps(
-            (self.weights, self.dtype.name, plan.exchange.shards)
-        )
-        return make_executor(
-            backend,
-            name="inference",
-            max_workers=max(1, self.execution.resolved_workers()),
-            initializer=_exchange_worker_init,
-            initargs=(payload,),
-            sleep=self._sleep,
-            profile=self.execution.profile,
-        )
-
-    def _exec_policy(self) -> ExecPolicy:
-        return ExecPolicy(
-            retry=self.retry,
-            worker_timeout=self.worker_timeout,
-            serial_fallback=self.serial_fallback,
-        )
-
-    def _ensure_executor(self, plan: _Plan, backend: str) -> Executor:
-        # The worker initializer bakes in this plan's exchange structures,
-        # so a new plan (or a different resolved backend) needs a new pool.
-        if self._executor is not None and (
-            self._pool_plan is not plan or self._executor.kind != backend
-        ):
-            self.close()
-        if self._executor is None:
-            self._executor = self._make_executor(plan, backend)
-            self._pool_plan = plan
-        return self._executor
-
-    def _rounds(self, with_head: bool) -> list[tuple[int, bool]]:
-        """(layer, run-head-this-round) schedule; head fuses into the
-        last encoder round because it is row-local."""
-        depth = self.weights.depth
-        return [(d, with_head and d == depth - 1) for d in range(depth)]
-
-    def _shm_run(
-        self, graph: GraphData, plan: _Plan, with_head: bool, out: np.ndarray
-    ) -> None:
-        """Forkpool transport: two shared activation slabs, ping-ponged.
-
-        Round ``d`` reads slab ``d % 2`` and writes slab ``(d+1) % 2``;
-        each round is a barrier (all shards complete before the next
-        starts), so the slab swap *is* the boundary exchange.
-        """
-        executor = self._ensure_executor(plan, "forkpool")
-        shards = plan.exchange.shards
-        widths = self._layer_widths(graph)
-        n = graph.num_nodes
-        n_cols = out.shape[1]
-        max_width = max(widths + [n_cols])
-        slab_shape = (n, max_width)
-        *_, failure_counter = _obs()
-        slabs = (
-            SharedSegment.zeros(slab_shape, self.dtype),
-            SharedSegment.zeros(slab_shape, self.dtype),
-        )
-        try:
-            slabs[0].array[:, : widths[0]] = graph.attributes
-            rounds: list[list[ShardTask]] = []
-            for d, head_round in self._rounds(with_head):
-                src, dst = slabs[d % 2], slabs[(d + 1) % 2]
-                w_in = widths[d]
-                w_out = n_cols if head_round else widths[d + 1]
-                rounds.append(
-                    [
-                        ShardTask(
-                            key=f"shard{i}:layer{d}",
-                            fn=self.worker_fn,
-                            args=(
-                                i,
-                                d,
-                                head_round,
-                                src.name,
-                                dst.name,
-                                slab_shape,
-                                self.dtype.name,
-                                w_in,
-                                w_out,
-                            ),
-                            fallback=self._slab_fallback(
-                                shards[i], d, head_round, src, dst, w_in,
-                                w_out,
-                            ),
-                        )
-                        for i in range(len(shards))
-                    ]
-                )
-            executor.submit_rounds(
-                rounds, policy=self._exec_policy(), sleep=self._sleep
-            )
-            if executor.last_submit_failures:
-                failure_counter.inc(executor.last_submit_failures)
-            final = slabs[self.weights.depth % 2].array
-            out[:] = final[:, :n_cols]
-        finally:
-            slabs[0].close_unlink()
-            slabs[1].close_unlink()
-
-    def _slab_fallback(
-        self, sh, layer: int, head_round: bool, src: SharedSegment,
-        dst: SharedSegment, w_in: int, w_out: int,
-    ):
-        def fallback():
-            local_prev = np.ascontiguousarray(src.array[sh.universe, :w_in])
-            result = run_shard_round(
-                self.weights, sh, local_prev, layer, head_round
-            )
-            dst.array[sh.owned, :w_out] = result
-            return result.shape
-
-        return fallback
-
-    def _socket_run(
-        self, graph: GraphData, plan: _Plan, with_head: bool, out: np.ndarray
-    ) -> None:
-        """Socket transport: activation frames by value, one task per
-        shard per round — no shared memory, so the fleet's workers can
-        live on any host and every retry/requeue is idempotent."""
-        executor = self._ensure_executor(plan, "socket")
-        shards = plan.exchange.shards
-        *_, failure_counter = _obs()
-        previous = np.ascontiguousarray(self._cast_attributes(graph))
-        depth = self.weights.depth
-        for d, head_round in self._rounds(with_head):
-            frames = [
-                np.ascontiguousarray(previous[sh.universe]) for sh in shards
-            ]
-            tasks = [
-                ShardTask(
-                    key=f"shard{i}:layer{d}",
-                    fn=self.socket_worker_fn,
-                    args=(i, d, head_round, frames[i]),
-                    fallback=(
-                        lambda i=i, d=d, head_round=head_round,
-                        frame=frames[i]: run_shard_round(
-                            self.weights, shards[i], frame, d, head_round
-                        )
-                    ),
-                )
-                for i in range(len(shards))
-            ]
-            results = executor.submit(
-                tasks, policy=self._exec_policy(), sleep=self._sleep
-            )
-            if executor.last_submit_failures:
-                failure_counter.inc(executor.last_submit_failures)
-            if d == depth - 1:
-                for i, sh in enumerate(shards):
-                    out[sh.owned] = results[i]
-            else:
-                nxt = np.empty(
-                    (graph.num_nodes, results[0].shape[1]), dtype=self.dtype
-                )
-                for i, sh in enumerate(shards):
-                    nxt[sh.owned] = results[i]
-                previous = nxt

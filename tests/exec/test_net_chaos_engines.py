@@ -1,9 +1,9 @@
 """Network chaos suite: every engine × every net chaos mode over loopback.
 
 The distributed mirror of ``test_chaos_engines.py``: with
-``REPRO_EXEC_BACKEND=socket`` and a two-worker loopback fleet, all three
-engines must survive injected disconnects, delayed results, heartbeat
-partitions and stale-generation replies — and produce results
+``REPRO_EXEC_BACKEND=socket`` and a two-worker loopback fleet, both
+fork-pool engines must survive injected disconnects, delayed results,
+heartbeat partitions and stale-generation replies — and produce results
 **bit-identical** to the chaos-free oracle.  Thread-based workers are
 safe here because no net mode ever calls ``os._exit``.
 """
@@ -19,14 +19,11 @@ import pytest
 from repro.atpg import FaultSimulator, full_fault_list
 from repro.atpg.ppsfp import PpsfpConfig
 from repro.circuit import generate_design
-from repro.config import ExecutionConfig
 from repro.core.graphdata import GraphData
-from repro.core.inference import FastInference
 from repro.core.model import GCN, GCNConfig
 from repro.core.trainer import ParallelTrainer, TrainConfig
 from repro.exec import get_coordinator, run_worker, shutdown_coordinator
 from repro.exec.chaos import NET_CHAOS_MODES
-from repro.graph import ShardedInference
 from repro.resilience.retry import RetryPolicy
 
 NO_SLEEP = lambda s: None  # noqa: E731
@@ -152,55 +149,3 @@ class TestFaultSimNetChaos:
             masks = fsim.detection_masks(faults, values, backend="parallel")
         np.testing.assert_array_equal(masks, oracle)
 
-
-# --------------------------------------------------------------------- #
-# ShardedInference
-# --------------------------------------------------------------------- #
-@pytest.fixture(scope="module")
-def inference_case():
-    model = GCN(GCNConfig(seed=5))
-    rng = np.random.default_rng(2)
-    for p in model.parameters():
-        p.data = p.data + rng.normal(scale=0.05, size=p.data.shape)
-    weights = model.layer_weights()
-    graph = GraphData.from_netlist(generate_design(400, seed=23))
-    oracle = FastInference(weights).logits(graph)
-    return weights, graph, oracle
-
-
-class TestInferenceNetChaos:
-    @pytest.mark.parametrize("mode", NET_CHAOS_MODES)
-    def test_logits_bit_identical(
-        self, mode, inference_case, fleet, monkeypatch
-    ):
-        weights, graph, oracle = inference_case
-        _arm(monkeypatch, mode)
-        with ShardedInference(
-            weights, ExecutionConfig(shards=2, workers=2)
-        ) as engine:
-            engine.retry = FAST_RETRY
-            engine.worker_timeout = WORKER_TIMEOUT_S
-            engine._sleep = NO_SLEEP
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                logits = engine.logits(graph)
-        np.testing.assert_array_equal(logits, oracle)
-
-
-# --------------------------------------------------------------------- #
-# Zero-worker degradation: socket backend with nobody listening
-# --------------------------------------------------------------------- #
-class TestZeroWorkerDegradation:
-    def test_inference_degrades_to_forkpool(self, inference_case, monkeypatch):
-        weights, graph, oracle = inference_case
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "socket")
-        monkeypatch.setenv("REPRO_EXEC_CONNECT_TIMEOUT_S", "0.2")
-        with ShardedInference(
-            weights, ExecutionConfig(shards=2, workers=2)
-        ) as engine:
-            engine.retry = FAST_RETRY
-            engine.worker_timeout = WORKER_TIMEOUT_S
-            engine._sleep = NO_SLEEP
-            with pytest.warns(ResourceWarning, match="degrading"):
-                logits = engine.logits(graph)
-        np.testing.assert_array_equal(logits, oracle)

@@ -1,8 +1,8 @@
-"""Backend-resolution precedence, exercised through all three engines.
+"""Backend-resolution precedence, exercised through both fork-pool engines.
 
 The contract: an *explicit* ``exec_backend`` always wins, then
 ``REPRO_EXEC_BACKEND``, then the engine's own workload default
-(``forkpool`` for all three); ``auto`` is a pure placeholder that never
+(``forkpool`` for both); ``auto`` is a pure placeholder that never
 reaches ``make_executor``; junk in the environment raises a typed
 :class:`ConfigError` naming the allowed vocabulary.
 """
@@ -19,7 +19,6 @@ from repro.config import ExecutionConfig
 from repro.core.graphdata import GraphData
 from repro.core.model import GCN, GCNConfig
 from repro.core.trainer import ParallelTrainer, TrainConfig
-from repro.graph import ShardedInference
 from repro.resilience.errors import ConfigError
 from repro.resilience.retry import RetryPolicy
 
@@ -86,26 +85,9 @@ def _run_fault_sim(monkeypatch, explicit):
     return seen.get("backend", "inprocess")
 
 
-def _run_inference(monkeypatch, explicit):
-    import repro.graph.sharded as sharded_mod
-
-    seen = _recorder(monkeypatch, sharded_mod)
-    weights = GCN(GCNConfig(seed=5)).layer_weights()
-    graph = GraphData.from_netlist(generate_design(120, seed=23))
-    with ShardedInference(
-        weights,
-        ExecutionConfig(shards=2, workers=2, exec_backend=explicit or "auto"),
-    ) as engine:
-        engine.retry = FAST_RETRY
-        engine._sleep = NO_SLEEP
-        engine.logits(graph)
-    return seen.get("backend", "inprocess")
-
-
 ENGINES = [
     ("train", _run_trainer),
     ("atpg", _run_fault_sim),
-    ("inference", _run_inference),
 ]
 
 

@@ -1,5 +1,6 @@
 """Boundary-exchange properties: exact partitions, send/recv coverage of
-every cut edge, and bit-identical exchange logits on random leveled DAGs."""
+every cut edge, and bit-identical exchange logits on random leveled DAGs
+and random weights."""
 
 from __future__ import annotations
 
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 from repro.circuit import generate_design
 from repro.config import ExecutionConfig
 from repro.core.graphdata import GraphData
+from repro.core.embedding import RecursiveEmbedder
 from repro.core.inference import FastInference
-from repro.core.model import GCN, GCNConfig
-from repro.exec.shm import SHM_PREFIX
+from repro.core.model import GCNWeights
 from repro.graph import PartitionConfig, ShardedInference, partition_graph
 from repro.graph.exchange import compile_boundary_plan
 from repro.nn.sparse import COOMatrix
@@ -44,15 +45,28 @@ def leveled_dags(draw):
     return GraphData(pred=pred, succ=succ, attributes=attrs)
 
 
-def _weights():
-    model = GCN(GCNConfig(hidden_dims=(8, 8), fc_dims=(8,), seed=9))
-    rng = np.random.default_rng(4)
-    for p in model.parameters():
-        p.data = p.data + rng.normal(scale=0.05, size=p.data.shape)
-    return model.layer_weights()
+@st.composite
+def gcn_weights(draw):
+    """Random weight sets: depth 0-3, widths 1-8 (narrow widths take
+    ``row_stable_matmul``'s fixed-order path), any layer bias-free."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
+    def layer(n_in, n_out):
+        bias = rng.normal(scale=0.1, size=n_out) if draw(st.booleans()) else None
+        return rng.normal(scale=0.5, size=(n_in, n_out)), bias
 
-WEIGHTS = _weights()
+    widths = [4] + draw(st.lists(st.integers(1, 8), max_size=3))
+    fc_widths = [widths[-1]] + draw(st.lists(st.integers(1, 8), max_size=2)) + [2]
+    encoder = [layer(a, b) for a, b in zip(widths, widths[1:])]
+    fc = [layer(a, b) for a, b in zip(fc_widths, fc_widths[1:])]
+    return GCNWeights(
+        w_pr=draw(st.floats(0.1, 1.0)),
+        w_su=draw(st.floats(0.1, 1.0)),
+        encoder_weights=[w for w, _ in encoder],
+        encoder_biases=[b for _, b in encoder],
+        fc_weights=[w for w, _ in fc],
+        fc_biases=[b for _, b in fc],
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,15 +102,20 @@ def test_partition_exact_and_sendrecv_cover_cut(graph, n_shards):
     )
 
 
-@settings(max_examples=25, deadline=None)
-@given(graph=leveled_dags(), n_shards=st.sampled_from([1, 2, 4]))
-def test_exchange_logits_bit_identical_float64(graph, n_shards):
-    oracle = FastInference(WEIGHTS).logits(graph)
-    with ShardedInference(
-        WEIGHTS, ExecutionConfig(shards=n_shards, workers=1)
-    ) as engine:
-        sharded = engine.logits(graph)
-    assert np.array_equal(oracle, sharded)
+@settings(max_examples=40, deadline=None)
+@given(
+    graph=leveled_dags(),
+    weights=gcn_weights(),
+    n_shards=st.integers(min_value=1, max_value=4),
+)
+def test_exchange_logits_bit_identical_float64(graph, weights, n_shards):
+    fast = FastInference(weights)
+    engine = ShardedInference(weights, ExecutionConfig(shards=n_shards, workers=1))
+    logits = fast.logits(graph)
+    assert np.array_equal(logits, engine.logits(graph))
+    assert np.array_equal(fast.embed(graph), engine.embed(graph))
+    recursive = RecursiveEmbedder(weights, graph).logits(range(graph.num_nodes))
+    np.testing.assert_allclose(logits, recursive, rtol=1e-9, atol=1e-9)
 
 
 class TestCompiledPlan:
@@ -154,52 +173,3 @@ class TestCompiledPlan:
             assert np.array_equal(
                 sh.universe[sh.pred_rows.indices], rows.indices
             )
-
-
-class _RecordingExecutor:
-    """Stands in for the socket executor: records tasks, runs fallbacks."""
-
-    kind = "socket"
-
-    def __init__(self):
-        self.rounds: list[list] = []
-        self.last_submit_failures = 0
-
-    def submit(self, tasks, policy=None, sleep=None):
-        tasks = list(tasks)
-        self.rounds.append(tasks)
-        return [task.run_fallback() for task in tasks]
-
-    def close(self):
-        pass
-
-
-class TestSocketByValue:
-    def test_socket_tasks_carry_activations_not_shm_names(self, monkeypatch):
-        """The socket transport must ship activation frames in the task
-        args (usable by any remote host), never /dev/shm segment names."""
-        import repro.graph.sharded as sharded_mod
-
-        recorder = _RecordingExecutor()
-        monkeypatch.setattr(
-            sharded_mod, "make_executor", lambda *a, **k: recorder
-        )
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "socket")
-        graph = GraphData.from_netlist(generate_design(300, seed=7))
-        oracle = FastInference(WEIGHTS).logits(graph)
-        with ShardedInference(
-            WEIGHTS, ExecutionConfig(shards=2, workers=2)
-        ) as engine:
-            out = engine.logits(graph)
-        assert np.array_equal(oracle, out)
-        assert len(recorder.rounds) == WEIGHTS.depth
-        for tasks in recorder.rounds:
-            for task in tasks:
-                assert any(
-                    isinstance(a, np.ndarray) and a.ndim == 2
-                    for a in task.args
-                )
-                assert not any(
-                    isinstance(a, str) and a.startswith(SHM_PREFIX)
-                    for a in task.args
-                )

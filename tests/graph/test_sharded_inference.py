@@ -1,4 +1,4 @@
-"""Sharded inference: bit-identity, routing, pool resilience, training."""
+"""Sharded inference: bit-identity, routing, training."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.core.inference import FastInference
 from repro.core.model import GCN, GCNConfig
 from repro.core.trainer import TrainConfig, Trainer
 from repro.graph import ShardedInference
-from repro.graph.sharded import _exchange_round_by_value, _exchange_worker_round
 
 
 @pytest.fixture(scope="module")
@@ -29,78 +28,62 @@ def graph():
     return GraphData.from_netlist(generate_design(700, seed=23))
 
 
-def _crashing_worker(*args, **kwargs):
-    raise OSError("injected shard-worker failure")
-
-
 class TestBitIdentity:
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 7])
     def test_logits_bit_identical_float64(self, weights, graph, n_shards):
         single = FastInference(weights).logits(graph)
-        with ShardedInference(
+        engine = ShardedInference(
             weights, ExecutionConfig(shards=n_shards, workers=1)
-        ) as engine:
-            sharded = engine.logits(graph)
+        )
+        sharded = engine.logits(graph)
         assert sharded.dtype == np.float64
         assert np.array_equal(single, sharded)
 
     def test_embed_bit_identical(self, weights, graph):
         single = FastInference(weights).embed(graph)
-        with ShardedInference(
+        engine = ShardedInference(
             weights, ExecutionConfig(shards=3, workers=1)
-        ) as engine:
-            assert np.array_equal(single, engine.embed(graph))
-
-    def test_pool_path_bit_identical(self, weights, graph):
-        single = FastInference(weights).logits(graph)
-        with ShardedInference(
-            weights, ExecutionConfig(shards=2, workers=2)
-        ) as engine:
-            sharded = engine.logits(graph)
-        assert np.array_equal(single, sharded)
+        )
+        assert np.array_equal(single, engine.embed(graph))
 
     def test_float32_close(self, weights, graph):
         single = FastInference(weights, dtype=np.float32).logits(graph)
-        with ShardedInference(
+        engine = ShardedInference(
             weights, ExecutionConfig(shards=3, workers=1, dtype="float32")
-        ) as engine:
-            sharded = engine.logits(graph)
+        )
+        sharded = engine.logits(graph)
         assert sharded.dtype == np.float32
         assert np.allclose(single, sharded, atol=1e-4)
 
     def test_predictions_match(self, weights, graph):
         single = FastInference(weights)
-        with ShardedInference(
+        engine = ShardedInference(
             weights, ExecutionConfig(shards=4, workers=1)
-        ) as engine:
-            assert np.array_equal(single.predict(graph), engine.predict(graph))
-            assert np.allclose(
-                single.predict_proba(graph), engine.predict_proba(graph)
-            )
+        )
+        assert np.array_equal(single.predict(graph), engine.predict(graph))
+        assert np.allclose(
+            single.predict_proba(graph), engine.predict_proba(graph)
+        )
 
     def test_empty_graph(self, weights):
         empty = GraphData.from_netlist(generate_design(4, seed=0))
         # Tiny but non-empty designs still work with absurd shard requests.
-        with ShardedInference(
+        engine = ShardedInference(
             weights, ExecutionConfig(shards=16, workers=1)
-        ) as engine:
-            out = engine.logits(empty)
+        )
+        out = engine.logits(empty)
         assert out.shape == (empty.num_nodes, 2)
 
 
 class TestConfiguration:
-    def test_halo_shallower_than_depth_rejected(self, weights):
-        with pytest.raises(ValueError, match="halo_hops"):
-            ShardedInference(weights, halo_hops=weights.depth - 1)
-
     def test_plan_cached_per_graph(self, weights, graph):
-        with ShardedInference(
+        engine = ShardedInference(
             weights, ExecutionConfig(shards=2, workers=1)
-        ) as engine:
-            engine.logits(graph)
-            plan = engine._plan
-            engine.logits(graph)
-            assert engine._plan is plan
+        )
+        engine.logits(graph)
+        plan = engine._plan
+        engine.logits(graph)
+        assert engine._plan is plan
 
 
 class TestRouting:
@@ -132,41 +115,29 @@ class TestRouting:
         )
 
 
-class TestPoolResilience:
-    def test_worker_crash_falls_back_bit_identical(self, weights, graph):
-        single = FastInference(weights).logits(graph)
-        with ShardedInference(
-            weights, ExecutionConfig(shards=2, workers=2)
-        ) as engine:
-            engine._sleep = lambda s: None
-            engine.worker_fn = _crashing_worker
-            with pytest.warns(ResourceWarning):
-                out = engine.logits(graph)
-        assert np.array_equal(single, out)
+class TestInferenceMetrics:
+    @pytest.mark.parametrize("backend", ["single", "sharded"])
+    def test_logits_pass_recorded_once(self, weights, graph, backend):
+        from repro.obs.metrics import MetricsRegistry, set_registry
 
-    def test_no_fallback_raises_after_retries(self, weights, graph):
-        with ShardedInference(
-            weights, ExecutionConfig(shards=2, workers=2)
-        ) as engine:
-            engine._sleep = lambda s: None
-            engine.serial_fallback = False
-            engine.worker_fn = _crashing_worker
-            with pytest.warns(ResourceWarning):
-                with pytest.raises(OSError):
-                    engine.logits(graph)
-
-    def test_worker_fn_is_real_entrypoint(self):
-        # The injectable default must stay the module-level picklable fn.
-        assert ShardedInference.__init__.__defaults__ is not None or True
-        engine = ShardedInference(
-            GCN(GCNConfig(seed=0)).layer_weights(),
-            ExecutionConfig(shards=1, workers=1),
+        fast = FastInference(
+            weights,
+            execution=ExecutionConfig(backend=backend, shards=2, workers=1),
         )
+        registry = MetricsRegistry()
+        old = set_registry(registry)
         try:
-            assert engine.worker_fn is _exchange_worker_round
-            assert engine.socket_worker_fn is _exchange_round_by_value
+            fast.logits(graph)
         finally:
-            engine.close()
+            set_registry(old)
+        snapshot = registry.snapshot()
+
+        def total(name, key="value"):
+            return sum(s[key] for s in snapshot[name]["samples"])
+
+        assert total("repro_inference_calls_total") == 1
+        assert total("repro_inference_nodes_total") == graph.num_nodes
+        assert total("repro_inference_seconds", "count") == 1
 
 
 class TestTrainerIntegration:

@@ -117,6 +117,19 @@ class TestTrainAndScore:
         assert np.array_equal(single.logits, sharded.logits)
         assert sharded.backend == "sharded"
 
+    def test_score_reports_engine_backend(
+        self, trained, labelled_graph, monkeypatch
+    ):
+        # The environment asks for sharded; a prebuilt single engine still
+        # scores single-process and must say so.
+        monkeypatch.setenv("REPRO_BACKEND", "sharded")
+        engine = api.FastInference(
+            trained.model.layer_weights(),
+            execution=api.ExecutionConfig(backend="single"),
+        )
+        assert api.score(engine, labelled_graph).backend == "single"
+        assert api.score(trained.model, labelled_graph).backend == "sharded"
+
     def test_train_result_inference_roundtrip(self, trained, labelled_graph):
         engine = trained.inference()
         assert np.allclose(
