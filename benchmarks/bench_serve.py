@@ -56,7 +56,7 @@ from repro.serve import ModelManager, ScoreRequest, ScoringService, ServeConfig
 #: Deliberately tiny — coalescing monetises the *per-pass* overhead
 #: (python/scipy dispatch, the row-stable final layer, manager
 #: bookkeeping), which dominates scoring cost only for small blocks;
-#: large designs route past the batch lane to sharded inference anyway.
+#: large designs route past the batch lane and score solo anyway.
 _BASE_GATES = 10
 #: distinct designs cycled through by the load generators
 _POOL = 24

@@ -335,8 +335,8 @@ def score(
     ``model`` may be a checkpoint path (single GCN or cascade), a trained
     :class:`GCN` / :class:`MultiStageGCN`, bare :class:`GCNWeights`, or a
     prebuilt inference engine.  ``execution`` picks dtype, worker count
-    and the single/sharded inference backend (``auto`` routes large
-    graphs to :class:`ShardedInference`).
+    and the single/sharded inference backend (``auto`` is single-process;
+    ``sharded`` runs :class:`ShardedInference`).
     """
     execution = execution or ExecutionConfig.from_env()
     graph = target if isinstance(target, GraphData) else build_graph(target)

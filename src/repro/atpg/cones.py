@@ -12,9 +12,10 @@ the structure is unchanged.
 Mutation safety: any structural edit changes the fingerprint, so stale
 indexes simply stop being reachable through the LRU.  Code that mutates a
 netlist in place (the OPI flow's :class:`IncrementalDesign`) additionally
-calls :func:`invalidate_cone_cache` *before* the edit, which both frees
-the memory promptly and guarantees a half-warmed index can never be
-poisoned with cones of two different netlist generations.
+calls :func:`invalidate_cone_cache` *before* the edit, which drops every
+index that walks that netlist object — freeing the memory promptly and
+guaranteeing a half-warmed index can never be poisoned with cones of two
+different netlist generations — without hashing the netlist.
 """
 
 from __future__ import annotations
@@ -134,19 +135,24 @@ def get_cone_index(netlist: Netlist) -> ConeIndex:
 
 
 def invalidate_cone_cache(netlist: Netlist | None = None) -> None:
-    """Drop the cached index for ``netlist``'s current content (or all).
+    """Drop the cached indexes built on ``netlist`` (or all).
 
-    Call *before* mutating a netlist in place; with ``None`` the whole
-    cache is cleared (tests, memory pressure).
+    Call *before* mutating a netlist in place.  Entries are matched by
+    identity (``index.netlist is netlist``), not by content, so this
+    never rehashes the netlist, and an index built on an unmutated copy
+    with the same fingerprint stays cached — its cones describe the
+    copy, which this edit does not touch.  With ``None`` the whole cache
+    is cleared (tests, memory pressure).
     """
     with _lock:
         if netlist is None:
             _stats["invalidations"] += len(_indexes)
             _indexes.clear()
             return
-        fp = netlist.fingerprint()
-        if _indexes.pop(fp, None) is not None:
-            _stats["invalidations"] += 1
+        stale = [fp for fp, index in _indexes.items() if index.netlist is netlist]
+        for fp in stale:
+            del _indexes[fp]
+        _stats["invalidations"] += len(stale)
 
 
 def cone_cache_info() -> dict:

@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=["auto", "single", "sharded"],
         default="auto",
-        help="inference engine (auto routes large graphs to sharded)",
+        help="inference engine (auto runs single-process)",
     )
     inf.add_argument(
         "--workers", type=int, default=None, help="worker processes (default: cores)"
@@ -212,8 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="show the resolved execution-fabric configuration",
         description="Print the execution fabric's resolved backend, worker "
         "count, chaos-injection state (REPRO_EXEC_BACKEND / REPRO_CHAOS), "
-        "the distributed-coordinator settings, and the result of sweeping "
-        "orphaned shared-memory segments.",
+        "the distributed-coordinator settings, the result of sweeping "
+        "orphaned shared-memory segments, and the numerics certificate: "
+        "per dense GCN shape, whether the running BLAS passed the "
+        "row-stability probe (gemm path) or not (fixed-order path).",
     )
 
     wkr = sub.add_parser(
@@ -247,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         "/reload; GET /healthz, /readyz, /metrics — Prometheus text "
         "exposition; /score remains as a deprecated alias).  Small "
         "concurrent requests coalesce into block-diagonal batches; "
-        "oversized designs route to the sharded engine.  SIGTERM drains "
-        "gracefully.",
+        "oversized designs score solo.  SIGTERM drains gracefully.",
         epilog=_EXIT_CODES_HELP,
     )
     srv.add_argument(
@@ -280,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-max-nodes",
         type=int,
         default=200_000,
-        help="total node budget per batch; larger designs score solo "
-        "(and route to sharded inference past the auto threshold)",
+        help="total node budget per batch; larger designs score solo",
     )
     srv.add_argument(
         "--batch-linger-ms",
@@ -618,6 +618,8 @@ def _cmd_exec_info(args: argparse.Namespace) -> int:
         resolve_exec_backend,
         sweep_orphans,
     )
+    from repro.core.inference import numerics_certificate
+    from repro.core.model import GCN, GCNConfig
     from repro.exec import net as exec_net
 
     execution = _execution()
@@ -650,6 +652,11 @@ def _cmd_exec_info(args: argparse.Namespace) -> int:
             "heartbeat_timeout_s": exec_net.heartbeat_timeout(),
         },
         "sweep": {"removed": removed, "remaining": leaked_segment_names()},
+        # Row-stability probe of the running BLAS on every dense shape of
+        # the paper architecture, at the configured dtype.
+        "numerics": numerics_certificate(
+            GCN(GCNConfig()).layer_weights(), execution.numpy_dtype()
+        ),
     }
     print(json.dumps(info, indent=2))
     return 0

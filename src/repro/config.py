@@ -77,11 +77,6 @@ _ENV_WORKERS = "REPRO_WORKERS"
 _ENV_SHARDS = "REPRO_SHARDS"
 _ENV_DTYPE = "REPRO_DTYPE"
 
-#: node count above which ``auto`` prefers the sharded inference engine
-#: (below it, partitioning overhead outweighs the parallel matmuls)
-SHARDED_AUTO_MIN_NODES = 200_000
-
-
 def warn_deprecated_kwarg(old: str, new: str, stacklevel: int = 3) -> None:
     """Emit the standard deprecation message for a legacy kwarg shim."""
     warnings.warn(
@@ -234,9 +229,10 @@ class ExecutionConfig:
     def resolve_inference_backend(self, n_nodes: int) -> str:
         """Map the request to ``single`` or ``sharded`` for ``n_nodes``.
 
-        ``auto`` honours ``REPRO_BACKEND`` first, then picks ``sharded``
-        only when the graph is large enough to amortise partitioning *and*
-        more than one worker is available.
+        ``auto`` honours ``REPRO_BACKEND`` first, then picks ``single``
+        at every size: measured on 3k–1.07M-node designs, single-process
+        inference beat a fresh in-process sharded engine on every tier
+        (EXPERIMENTS.md).  ``sharded`` runs only when asked for.
         """
         choice = self.backend.lower()
         if choice not in INFERENCE_BACKENDS:
@@ -252,11 +248,6 @@ class ExecutionConfig:
                         f"invalid {_ENV_BACKEND}={env!r}; use {INFERENCE_BACKENDS}"
                     )
                 return env
-            if (
-                n_nodes >= SHARDED_AUTO_MIN_NODES
-                and self.resolved_workers() > 1
-            ):
-                return "sharded"
             return "single"
         return choice
 

@@ -26,42 +26,140 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 from repro.resilience.errors import NumericalError
 
-__all__ = ["FastInference", "gcn_head", "gcn_layer", "row_stable_matmul"]
+__all__ = [
+    "FastInference",
+    "gcn_head",
+    "gcn_layer",
+    "numerics_certificate",
+    "probe_row_stability",
+    "row_stable_matmul",
+]
+
+
+#: Probe operand height: past OpenBLAS's m-block (512 rows float64, 768
+#: float32 on Haswell) ...
+_PROBE_ROWS = 1100
+#: ... and raised, up to ``2**15`` rows, until ``m·k·n`` reaches twice
+#: OpenBLAS's single-thread cutoff (``2**18``), so the full product runs
+#: threaded like a large graph's does.
+_PROBE_MNK = 1 << 19
+#: Slice heights the probe checks against the full product: the padded
+#: 1–3-row operands, non-multiples of every kernel height (4/8/16), and
+#: heights either side of the m-block.
+_PROBE_HEIGHTS = (1, 2, 3, 4, 5, 6, 7, 9, 13, 17, 31, 33, 129, 257, 515, 771)
+
+#: ``(k, n, dtype name)`` → probe verdict, filled lazily, once per process.
+_certificate: dict[tuple[int, int, str], bool] = {}
+
+
+def _padded_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """BLAS ``a @ b`` with fewer than four output columns zero-padded to
+    eight and fewer than four rows zero-padded to four.
+
+    Padding keeps numpy off its gemv/vector paths and BLAS off its
+    skinny-output kernels; the zero rows and columns never feed back
+    into real outputs.
+    """
+    m, n = a.shape[0], b.shape[1]
+    a = np.ascontiguousarray(a)
+    if m < 4:
+        a = np.concatenate([a, np.zeros((4 - m, a.shape[1]), a.dtype)])
+    if n < 4:
+        b = np.concatenate([b, np.zeros((b.shape[0], 8 - n), b.dtype)], axis=1)
+        return np.ascontiguousarray((a @ b)[:m, :n])
+    return (a @ np.ascontiguousarray(b))[:m]
+
+
+def _fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` as an explicit k-loop: every row is an independent sum in
+    one fixed order, whatever the BLAS does.  The fallback for shapes the
+    probe does not certify."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    for k in range(a.shape[1]):
+        out += a[:, k : k + 1] * b[k]
+    return out
+
+
+def probe_row_stability(k: int, n: int, dtype) -> bool:
+    """Whether :func:`_padded_gemm` of ``(m, k) @ (k, n)`` is row-stable
+    on the running BLAS.
+
+    Multiplies one random operand at least ``_PROBE_ROWS`` tall, then
+    each ``_PROBE_HEIGHTS`` row slice of it at a random offset, and
+    demands every slice's product equal the same rows of the full
+    product bit for bit.  Deterministic for a given shape; a few
+    milliseconds per shape.
+    """
+    dtype = np.dtype(dtype)
+    rows = max(_PROBE_ROWS, min(1 << 15, _PROBE_MNK // max(1, k * max(n, 8))))
+    rng = np.random.default_rng([k, n])
+    a = (2.0 * rng.random((rows, k)) - 1.0).astype(dtype)
+    b = (2.0 * rng.random((k, n)) - 1.0).astype(dtype)
+    full = _padded_gemm(a, b)
+    heights = np.array(_PROBE_HEIGHTS)
+    offsets = rng.integers(0, rows - heights + 1)
+    return all(
+        np.array_equal(_padded_gemm(a[o : o + h], b), full[o : o + h])
+        for h, o in zip(heights.tolist(), offsets.tolist())
+    )
+
+
+def is_certified(k: int, n: int, dtype) -> bool:
+    """The probe's verdict for ``(k, n, dtype)``, probing on first use."""
+    key = (int(k), int(n), np.dtype(dtype).name)
+    verdict = _certificate.get(key)
+    if verdict is None:
+        verdict = _certificate[key] = probe_row_stability(*key)
+    return verdict
+
+
+def numerics_certificate(weights: GCNWeights, dtype) -> list[dict]:
+    """Per dense shape of ``weights`` at ``dtype``: the probe's verdict
+    and the path :func:`row_stable_matmul` takes (probing any shape not
+    yet probed in this process)."""
+    dtype = np.dtype(dtype)
+    shapes = dict.fromkeys(
+        m.shape for m in [*weights.encoder_weights, *weights.fc_weights]
+    )
+    report = []
+    for k, n in shapes:
+        certified = is_certified(k, n, dtype)
+        report.append(
+            {
+                "k": int(k),
+                "n": int(n),
+                "dtype": dtype.name,
+                "certified": certified,
+                "path": "gemm" if certified else "fixed_order",
+            }
+        )
+    return report
 
 
 def row_stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` computed so row ``i`` of the result depends only on row
     ``i`` of ``a`` — never on the total row count.
 
-    BLAS gemm is *not* row-stable in general: narrow outputs (fewer than
-    four columns) and single-row operands dispatch to kernels whose
-    k-accumulation order differs from the blocked path, so the same row
-    can round differently depending on the height of the matrix it sits
-    in.  Sharded inference slices the node set into shards of varying
-    height and still promises bit-identical float64 logits, so both the
-    single-shard and sharded engines route every dense product through
-    this helper.  Narrow outputs take an explicit fixed-order
-    k-accumulation — zero-padding the output up to four columns is not
-    enough, because skinny gemm still switches kernels on the row count
-    (observed: ``(3222, 128) @ (128, 2)`` rounds differently from its
-    805-row slice even padded).  The explicit loop makes every row an
-    independent, identically-ordered sum, at a cost that only the tiny
-    final layer pays.  Single rows are zero-padded up to the blocked
-    kernel's minimum height; padding rows are exact zeros that never
-    feed back into real outputs.
+    BLAS gemm is *not* row-stable by construction: numpy sends 1-row
+    operands and 1-column outputs to gemv, and BLAS picks kernels by
+    shape, so the same row can round differently depending on the height
+    of the matrix it sits in (observed: ``(3222, 128) @ (128, 2)``,
+    output padded to four columns, rounded differently from its 805-row
+    slice; padded to eight it passes the probe).  Sharded inference
+    slices the node set into shards of varying height and still promises
+    bit-identical float64 logits, so every engine routes every dense
+    product through this helper.
+
+    Each ``(k, n, dtype)`` is certified on the running BLAS by
+    :func:`probe_row_stability`, once per process on first use.  A
+    certified shape runs as one padded gemm (:func:`_padded_gemm`: narrow
+    outputs padded to eight columns, 1–3-row operands to four rows).  A
+    shape the probe rejects (float32 ``(128, 2)`` on OpenBLAS Haswell)
+    takes :func:`_fixed_order_matmul`, row-stable by construction.
     """
-    m, n = a.shape[0], b.shape[1]
-    if n < 4:
-        out = np.zeros((m, n), dtype=np.result_type(a, b))
-        for k in range(a.shape[1]):
-            out += a[:, k : k + 1] * b[k]
-        return out
-    if m == 1:
-        a = np.concatenate(
-            [a, np.zeros((3, a.shape[1]), dtype=a.dtype)], axis=0
-        )
-        return (a @ b)[:m]
-    return a @ b
+    if is_certified(a.shape[1], b.shape[1], np.result_type(a, b)):
+        return _padded_gemm(a, b)
+    return _fixed_order_matmul(a, b)
 
 
 def gcn_layer(
@@ -133,10 +231,11 @@ class FastInference:
     ``execution`` selects numerics and backend: ``dtype`` defaults to
     float64 (matching the training tape) — ``float32`` gives
     deployment-style inference, as in the paper's fp32 GPU path — and
-    ``backend`` routes large graphs to the partitioned engine
+    ``backend`` routes graphs to the partitioned engine
     (:class:`repro.graph.sharded.ShardedInference`) when it resolves to
-    ``sharded``.  The legacy ``dtype=`` argument keeps working and takes
-    precedence over ``execution.dtype``.
+    ``sharded`` (only on request; ``auto`` is single-process).  The
+    legacy ``dtype=`` argument keeps working and takes precedence over
+    ``execution.dtype``.
     """
 
     def __init__(

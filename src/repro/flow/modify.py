@@ -40,6 +40,8 @@ class _Checkpoint:
     succ_nnz: int
     changed_co: list[tuple[int, float]]
     attr_rows: list[tuple[int, np.ndarray]]
+    #: nodes this insertion added to the observed set
+    observed_added: list[int]
 
 
 class IncrementalDesign:
@@ -55,6 +57,10 @@ class IncrementalDesign:
         order = topological_order(netlist)
         self.levels = logic_levels(netlist, order)
         self.scoap: ScoapResult = compute_scoap(netlist, order)
+        #: observation sites plus OBS cells, kept in step with every
+        #: insert and rollback so CO relaxation never rescans the netlist
+        self.observed: set[int] = set(netlist.observation_sites)
+        self.observed.update(netlist.observation_points())
         self.graph = GraphData.from_netlist(
             netlist, attribute_config=self.attribute_config
         )
@@ -98,6 +104,7 @@ class IncrementalDesign:
             succ_nnz=self.graph.succ.nnz,
             changed_co=[],
             attr_rows=[],
+            observed_added=[],
         )
         # Drop the shared forward-cone index *before* the structure changes
         # so a concurrent reader can never warm it with mixed-generation
@@ -105,6 +112,10 @@ class IncrementalDesign:
         invalidate_cone_cache(self.netlist)
         p = self.netlist.insert_observation_point(target)
         n = self.netlist.num_nodes
+        for v in (target, p):
+            if v not in self.observed:
+                self.observed.add(v)
+                checkpoint.observed_added.append(v)
         self.graph.pred.resize((n, n))
         self.graph.succ.resize((n, n))
         self.graph.pred.append(1.0, p, target)
@@ -115,7 +126,7 @@ class IncrementalDesign:
         self.scoap.cc1 = np.append(self.scoap.cc1, self.scoap.cc1[target] + 1.0)
         self.scoap.co = np.append(self.scoap.co, 0.0)
         changed = refresh_observability(
-            self.netlist, self.scoap, [target], self.levels
+            self.netlist, self.scoap, [target], self.levels, self.observed
         )
         checkpoint.changed_co = changed
 
@@ -142,6 +153,7 @@ class IncrementalDesign:
         fo = self.netlist._fanouts[target]
         while fo and fo[-1] >= n:
             fo.pop()
+        self.observed.difference_update(checkpoint.observed_added)
         self.graph.pred.truncate(checkpoint.pred_nnz, (n, n))
         self.graph.succ.truncate(checkpoint.succ_nnz, (n, n))
         self.scoap.cc0 = self.scoap.cc0[:n]

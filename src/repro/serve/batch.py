@@ -27,9 +27,8 @@ Two pieces:
 Routing (who may enter the batch lane) is decided at submit time in
 :class:`~repro.serve.service.ScoringService`: requests over
 ``ServeConfig.batch_solo_nodes`` — or carrying ``"batchable": false`` —
-are scored solo, where :class:`~repro.config.ExecutionConfig` routing
-sends graphs past the sharded-auto threshold to
-:class:`~repro.graph.sharded.ShardedInference` instead.
+are scored solo, through whichever inference backend
+:class:`~repro.config.ExecutionConfig` resolves.
 """
 
 from __future__ import annotations

@@ -45,9 +45,8 @@ class ServeConfig:
     batch_linger_ms: int = 5  #: max wait for the queue to fill a batch
     batch_safety_ms: int = 50  #: flush margin before the earliest deadline
     #: requests above this node count never enter the batch lane — they
-    #: are scored solo, where ``ExecutionConfig`` routing sends graphs
-    #: past the sharded-auto threshold to ``ShardedInference``; 0 derives
-    #: half the batch node budget
+    #: are scored solo through the ``ExecutionConfig`` inference backend;
+    #: 0 derives half the batch node budget
     batch_solo_threshold: int = 0
 
     @property

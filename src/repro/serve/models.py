@@ -124,9 +124,9 @@ def _predict_fn(
     if loaded.level == "gcn":
         # Single GCNs score through the paper's sparse-matrix fast path,
         # which also carries the NumericalError non-finite guard; the
-        # execution config routes large graphs to the sharded engine and
-        # picks the serving dtype.  Weight casts are cached on the layer
-        # snapshot, so hot reloads don't re-copy matrices per swap.
+        # execution config picks the inference backend and the serving
+        # dtype.  Weight casts are cached on the layer snapshot, so hot
+        # reloads don't re-copy matrices per swap.
         from repro.core.inference import FastInference
 
         weights = loaded.predictor.layer_weights()
@@ -204,6 +204,18 @@ class ModelManager:
     # ------------------------------------------------------------------ #
     def describe(self) -> dict:
         """Provenance + health snapshot for ``/healthz`` and reload bodies."""
+        from repro.core.inference import numerics_certificate
+
+        with self._lock:
+            current = self._current
+        # Probes run outside the lock (first call only, tens of ms).
+        numerics = (
+            numerics_certificate(
+                current.predictor.layer_weights(), self.execution.numpy_dtype()
+            )
+            if current.level == "gcn"
+            else []
+        )
         with self._lock:
             return {
                 "level": self._current.level,
@@ -217,6 +229,10 @@ class ModelManager:
                 # Attach recipe for external readers; empty when the model
                 # is not a shm-published single GCN.
                 "weights_shm": self.weight_store.manifest(),
+                # Row-stability certificate of each dense shape the fast
+                # path runs (single GCNs only; other levels run no gemm
+                # through it).
+                "numerics": numerics,
             }
 
     def reload(self, path: str | Path) -> dict:

@@ -10,10 +10,9 @@ without sockets:
 * **Batching** — workers drain the queue through the coalescing layer
   (:mod:`~repro.serve.batch`): small batchable requests merge into one
   block-diagonal scoring pass under a size/linger/deadline flush policy;
-  oversized or ``batchable: false`` requests take the solo lane, where
-  :class:`~repro.config.ExecutionConfig` routing engages
-  :class:`~repro.graph.sharded.ShardedInference` past the sharded-auto
-  threshold.  Batched results are bit-identical to solo scoring at
+  oversized or ``batchable: false`` requests take the solo lane, which
+  scores through the :class:`~repro.config.ExecutionConfig` inference
+  backend.  Batched results are bit-identical to solo scoring at
   float64 and a failed batched pass is rescued member-by-member, so
   batching changes latency shape only, never answers.
 * **Deadlines** — each job carries an absolute monotonic deadline.  The

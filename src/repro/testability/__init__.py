@@ -2,7 +2,7 @@
 
 from repro.testability.scoap import SCOAP_INF, ScoapResult, compute_scoap
 from repro.testability.cop import CopResult, compute_cop
-from repro.testability.incremental import refresh_observability, update_scoap_after_op
+from repro.testability.incremental import refresh_observability
 from repro.testability.labels import LabelConfig, LabelResult, label_nodes
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "CopResult",
     "compute_cop",
     "refresh_observability",
-    "update_scoap_after_op",
     "LabelConfig",
     "LabelResult",
     "label_nodes",

@@ -18,36 +18,7 @@ import numpy as np
 from repro.circuit.netlist import Netlist
 from repro.testability.scoap import ScoapResult, branch_observability
 
-__all__ = ["update_scoap_after_op", "refresh_observability"]
-
-
-def update_scoap_after_op(
-    netlist: Netlist,
-    scoap: ScoapResult,
-    op_node: int,
-    levels: np.ndarray,
-) -> ScoapResult:
-    """Update ``scoap`` in place after ``OBS`` cell ``op_node`` was added.
-
-    ``levels`` are pre-insertion logic levels; the new OBS cell is appended
-    behind its target so only the target's backward cone needs revisiting.
-    Returns the same (mutated) :class:`ScoapResult` with arrays grown to the
-    new node count.
-    """
-    n = netlist.num_nodes
-    if len(scoap.cc0) < n:
-        grow = n - len(scoap.cc0)
-        target = netlist.fanins(op_node)[0]
-        scoap.cc0 = np.concatenate([scoap.cc0, np.zeros(grow)])
-        scoap.cc1 = np.concatenate([scoap.cc1, np.zeros(grow)])
-        scoap.co = np.concatenate([scoap.co, np.zeros(grow)])
-        scoap.cc0[op_node] = scoap.cc0[target] + 1.0
-        scoap.cc1[op_node] = scoap.cc1[target] + 1.0
-        scoap.co[op_node] = 0.0
-
-    target = netlist.fanins(op_node)[0]
-    refresh_observability(netlist, scoap, [target], levels)
-    return scoap
+__all__ = ["refresh_observability"]
 
 
 def refresh_observability(
@@ -55,20 +26,22 @@ def refresh_observability(
     scoap: ScoapResult,
     seeds: list[int],
     levels: np.ndarray,
+    observed: set[int],
 ) -> list[tuple[int, float]]:
     """Backward relaxation of ``CO`` from ``seeds``.
 
-    Returns ``(node, previous_co)`` for every node whose CO changed, which
-    lets callers undo the relaxation cheaply.
+    ``observed`` is the netlist's observed set — ``observation_sites``
+    plus ``observation_points()`` — which the caller keeps in step with
+    its edits (:class:`~repro.flow.modify.IncrementalDesign` does), so
+    one relaxation costs its fan-in cone and never a scan of the whole
+    netlist.  Returns ``(node, previous_co)`` for every node whose CO
+    changed, which lets callers undo the relaxation cheaply.
 
     Processes candidates highest-logic-level first (a node's CO depends only
     on its fanouts, which sit at higher levels), re-queuing fanins whenever a
     node's CO improves.  Only decreases are propagated — adding an OP can
     never worsen observability.
     """
-    observed = set(netlist.observation_sites)
-    observed.update(netlist.observation_points())
-
     def level_of(v: int) -> int:
         return int(levels[v]) if v < len(levels) else int(levels.max(initial=0) + 1)
 

@@ -2,7 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.atpg.cones import (
+    ConeIndex,
+    cone_cache_info,
+    get_cone_index,
+    invalidate_cone_cache,
+)
 from repro.circuit import generate_design
 from repro.core.graphdata import GraphData
 from repro.flow.modify import IncrementalDesign
@@ -132,3 +140,67 @@ class TestFaninCone:
     def test_cone_exclude_self(self, design):
         cone = design.fanin_cone(5, include_self=False)
         assert 5 not in cone
+
+
+def _observed_from_scratch(netlist):
+    return set(netlist.observation_sites) | set(netlist.observation_points())
+
+
+class TestObservedSet:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        steps=st.lists(
+            st.tuples(st.floats(0.0, 0.999), st.booleans()),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_observed_set_tracks_inserts_and_rollbacks(self, seed, steps):
+        """After any insert/rollback sequence the kept set equals the
+        netlist's observed set recomputed from scratch."""
+        design = IncrementalDesign(generate_design(60, seed=seed))
+        n0 = design.num_nodes
+        open_checkpoints = []
+        assert design.observed == _observed_from_scratch(design.netlist)
+        for target_frac, roll_back in steps:
+            if roll_back and open_checkpoints:
+                design.rollback(open_checkpoints.pop())
+            else:
+                # Original nodes only: an OBS cell is not a legal target.
+                _, checkpoint = design.insert_op(int(target_frac * n0))
+                open_checkpoints.append(checkpoint)
+            assert design.observed == _observed_from_scratch(design.netlist)
+        fresh = compute_scoap(design.netlist)
+        assert np.allclose(design.scoap.co, fresh.co)
+
+
+class TestConeInvalidation:
+    @pytest.fixture(autouse=True)
+    def _fresh_cone_cache(self):
+        invalidate_cone_cache()
+        yield
+        invalidate_cone_cache()
+
+    def test_insert_drops_index_built_on_the_netlist(self):
+        netlist = generate_design(120, seed=7)
+        design = IncrementalDesign(netlist)
+        get_cone_index(netlist).cone(10)
+        assert cone_cache_info()["entries"] == 1
+        p, _ = design.insert_op(10)
+        assert cone_cache_info()["entries"] == 0
+        assert p in get_cone_index(netlist).cone(10)
+
+    def test_index_on_unmutated_copy_survives(self):
+        netlist = generate_design(120, seed=7)
+        copy = netlist.copy()
+        assert copy.fingerprint() == netlist.fingerprint()
+        index = get_cone_index(copy)
+        design = IncrementalDesign(netlist)
+        undo = design.tentative_insert(10)
+        assert get_cone_index(copy) is index
+        undo()
+        assert get_cone_index(copy) is index
+        fresh = ConeIndex(copy)
+        for v in range(copy.num_nodes):
+            assert index.cone(v) == fresh.cone(v)

@@ -88,9 +88,7 @@ class TestConfiguration:
 
 class TestRouting:
     def test_fastinference_routes_to_sharded(self, weights, graph, monkeypatch):
-        import repro.config as config_mod
-
-        monkeypatch.setattr(config_mod, "SHARDED_AUTO_MIN_NODES", 100)
+        monkeypatch.setenv("REPRO_BACKEND", "sharded")
         fast = FastInference(
             weights, execution=ExecutionConfig(workers=2, shards=2)
         )
@@ -151,15 +149,11 @@ class TestTrainerIntegration:
             name="labelled",
         )
         model = GCN(GCNConfig(seed=1))
-        import repro.config as config_mod
-
         trainer = Trainer(
             model,
             TrainConfig(epochs=2),
             execution=ExecutionConfig(backend="sharded", shards=3, workers=1),
         )
-        # Force the minibatch path regardless of the auto threshold.
-        assert config_mod.SHARDED_AUTO_MIN_NODES > labelled.num_nodes
         batches = trainer._prepare_graphs([labelled])
         assert len(batches) == 3
         history = trainer.fit([labelled])

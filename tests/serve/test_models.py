@@ -29,6 +29,14 @@ class TestInitialLoad:
         assert info["predictor_level"] == "gcn"
         assert len(labels) == graph.num_nodes
 
+    def test_describe_reports_numerics_certificate(self, model_file):
+        assert ModelManager().describe()["numerics"] == []
+        numerics = ModelManager(model_file).describe()["numerics"]
+        assert numerics, "a single GCN runs dense products"
+        for row in numerics:
+            assert set(row) == {"k", "n", "dtype", "certified", "path"}
+            assert row["dtype"] == "float64"
+
     def test_corrupt_initial_load_degrades_not_raises(self, corrupt_file, graph):
         with pytest.warns(ResourceWarning):
             manager = ModelManager(corrupt_file)

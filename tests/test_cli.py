@@ -1,5 +1,7 @@
 """CLI entry points."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -39,6 +41,14 @@ class TestCommands:
         main(["generate", str(path), "--gates", "120"])
         netlist = load_bench(path)
         assert netlist.num_nodes > 120
+
+    def test_exec_info_reports_numerics_certificate(self, capsys):
+        assert main(["exec-info"]) == 0
+        numerics = json.loads(capsys.readouterr().out)["numerics"]
+        assert {(row["k"], row["n"]) for row in numerics} >= {(128, 2), (4, 32)}
+        for row in numerics:
+            assert set(row) == {"k", "n", "dtype", "certified", "path"}
+            assert row["path"] == ("gemm" if row["certified"] else "fixed_order")
 
     def test_experiment_table1_smoke(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path))

@@ -100,10 +100,12 @@ class TestBackendResolution:
         cfg = ExecutionConfig(workers=8)
         assert cfg.resolve_inference_backend(1000) == "single"
 
-    def test_auto_large_graph_sharded(self, monkeypatch):
+    def test_auto_large_graph_single(self, monkeypatch):
+        """Single-process beat in-process sharding on every measured tier
+        up to 1.07M nodes, so ``auto`` never shards."""
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         cfg = ExecutionConfig(workers=8)
-        assert cfg.resolve_inference_backend(1_000_000) == "sharded"
+        assert cfg.resolve_inference_backend(1_000_000) == "single"
 
     def test_auto_single_worker_stays_single(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)

@@ -1,25 +1,23 @@
-"""Incremental SCOAP updates vs full recomputation."""
+"""Incremental SCOAP updates (``IncrementalDesign.insert_op``) vs full
+recomputation."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import generate_design, logic_levels
-from repro.testability.incremental import update_scoap_after_op
+from repro.circuit import generate_design
+from repro.flow.modify import IncrementalDesign
 from repro.testability.scoap import compute_scoap
 
 
 class TestUpdateAfterOp:
     def _insert_and_compare(self, netlist, target):
-        levels = logic_levels(netlist)
-        scoap = compute_scoap(netlist)
-        op = netlist.insert_observation_point(target)
-        update_scoap_after_op(netlist, scoap, op, levels)
+        design = IncrementalDesign(netlist)
+        design.insert_op(target)
         fresh = compute_scoap(netlist)
-        assert np.allclose(scoap.cc0, fresh.cc0)
-        assert np.allclose(scoap.cc1, fresh.cc1)
-        assert np.allclose(scoap.co, fresh.co)
+        assert np.allclose(design.scoap.cc0, fresh.cc0)
+        assert np.allclose(design.scoap.cc1, fresh.cc1)
+        assert np.allclose(design.scoap.co, fresh.co)
 
     def test_c17_all_targets(self, c17):
         for target in list(c17.nodes()):
@@ -32,14 +30,12 @@ class TestUpdateAfterOp:
 
     def test_sequential_insertions_stay_consistent(self, rng):
         nl = generate_design(200, seed=29)
-        levels = logic_levels(nl)
-        scoap = compute_scoap(nl)
+        design = IncrementalDesign(nl)
         for target in rng.choice(nl.num_nodes, size=5, replace=False):
-            op = nl.insert_observation_point(int(target))
-            update_scoap_after_op(nl, scoap, op, levels)
+            design.insert_op(int(target))
         fresh = compute_scoap(nl)
-        assert np.allclose(scoap.co, fresh.co)
-        assert np.allclose(scoap.cc0, fresh.cc0)
+        assert np.allclose(design.scoap.co, fresh.co)
+        assert np.allclose(design.scoap.cc0, fresh.cc0)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 5000), target_frac=st.floats(0.0, 0.999))
@@ -49,18 +45,14 @@ class TestUpdateAfterOp:
         self._insert_and_compare(nl, target)
 
     def test_co_never_increases(self, c17):
-        levels = logic_levels(c17)
-        scoap = compute_scoap(c17)
-        before = scoap.co.copy()
-        op = c17.insert_observation_point(c17.find("G11"))
-        update_scoap_after_op(c17, scoap, op, levels)
-        assert (scoap.co[: len(before)] <= before + 1e-12).all()
+        design = IncrementalDesign(c17)
+        before = design.scoap.co.copy()
+        design.insert_op(c17.find("G11"))
+        assert (design.scoap.co[: len(before)] <= before + 1e-12).all()
 
     def test_target_becomes_perfectly_observable(self, and_chain):
-        levels = logic_levels(and_chain)
-        scoap = compute_scoap(and_chain)
+        design = IncrementalDesign(and_chain)
         g1 = and_chain.find("g1")
-        assert scoap.co[g1] > 0
-        op = and_chain.insert_observation_point(g1)
-        update_scoap_after_op(and_chain, scoap, op, levels)
-        assert scoap.co[g1] == 0.0
+        assert design.scoap.co[g1] > 0
+        design.insert_op(g1)
+        assert design.scoap.co[g1] == 0.0
